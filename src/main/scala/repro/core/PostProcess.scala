@@ -14,7 +14,8 @@ import scala.collection.mutable
   *     uniform draw from L_i equals a uniform draw from L_j;
   *  2. τ2 = min_i max_j w_ij (Eq. 2, "no isolated vertex" principle);
   *  3. τ1 ∈ [τ2, max w] maximizing the size entropy of the connected
-  *     components of the τ1-filtered graph (Eq. 1, "maximize information");
+  *     components of the τ1-filtered graph (Eq. 1, "maximize information"),
+  *     read with τ2 from one maximum spanning forest (`thresholds`);
   *  4. communities = components with ≥ 2 vertices; an isolated vertex
   *     joins the community of every non-isolated neighbor with w ≥ τ2 —
   *     the mechanism that produces *overlap*.
@@ -74,26 +75,58 @@ object PostProcess {
       .toVector
   }
 
-  /** τ1 = argmax of community-size entropy over a grid in [τ2, max w]
-    * (Eq. 1). The paper enumerates with a small fixed interval (0.001);
-    * our memories are longer (T+1 = 201 labels), which compresses all
-    * weights into a narrow band near 0, so a fixed absolute step would
-    * skip the whole range — `step <= 0` (the default) selects an adaptive
-    * step of 1/60 of the weight range instead.
+  /** A maximum spanning forest of the weighted edges `(u, v, w)`, by
+    * Kruskal. For every τ, the forest edges with w ≥ τ connect exactly the
+    * components of all edges with w ≥ τ, so one forest answers every
+    * threshold probe. A forest of the union of forests of edge subsets is a
+    * forest of all edges — the filtering of Lattanzi et al. (SPAA 2011) —
+    * which is how the Spark engine builds it.
     */
-  def chooseTau1(g: LocalGraph, w: Map[(Int, Int), Double], tau2: Double,
-                 step: Double = 0.0): Double = {
-    if (w.isEmpty) return tau2
-    val maxW = w.values.max
-    val eff = if (step > 0) step else math.max((maxW - tau2) / 60, 1e-9)
-    var best = tau2; var bestEnt = -1.0
-    var tau = tau2
-    while (tau <= maxW + 1e-12) {
-      val ent = SizeEntropy.of(componentsAt(g, w, tau).map(_.size), g.n)
-      if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
-      tau += eff
+  def spanningForest(edges: Iterator[(Long, Long, Double)]): Array[(Long, Long, Double)] = {
+    val uf = new ConnectedComponents.UnionFind
+    edges.toArray.sortBy(e => -e._3).filter { case (u, v, _) => uf.union(u, v) }
+  }
+
+  /** `(τ2, τ1)` from a maximum spanning forest of a graph on `n` vertices.
+    *
+    * τ2 (Eq. 2): the first edge Kruskal meets at a vertex is one of its
+    * heaviest and never closes a cycle, so every vertex keeps an incident
+    * forest edge of its maximum weight.
+    *
+    * τ1 (Eq. 1) = argmax of community-size entropy over a grid in
+    * [τ2, max w], lowest τ on ties. The paper enumerates with a small fixed
+    * interval (0.001); our memories are longer (T+1 = 201 labels), which
+    * compresses all weights into a narrow band near 0, so a fixed absolute
+    * step would skip the whole range — the step is 1/60 of the weight range
+    * instead. One sweep from high τ to low merges the forest edges.
+    */
+  def thresholds(forest: Array[(Long, Long, Double)], n: Int): (Double, Double) = {
+    if (forest.isEmpty) return (0.0, 0.0)
+    val heaviest = mutable.LongMap.empty[Double]
+    forest.foreach { case (u, v, x) =>
+      heaviest(u) = math.max(heaviest.getOrElse(u, x), x)
+      heaviest(v) = math.max(heaviest.getOrElse(v, x), x)
     }
-    best
+    val tau2 = heaviest.values.min
+    val edges = forest.sortBy(e => -e._3)
+    val maxW = edges(0)._3
+    val eff = math.max((maxW - tau2) / 60, 1e-9)
+    val grid = Iterator.iterate(tau2)(_ + eff).takeWhile(_ <= maxW + 1e-12).toArray
+    val uf = new ConnectedComponents.UnionFind
+    var next = 0
+    val entropy = grid.reverse.map { tau =>
+      while (next < edges.length && edges(next)._3 >= tau) {
+        uf.union(edges(next)._1, edges(next)._2); next += 1
+      }
+      // Sorted, so the score is a function of the sizes alone and both
+      // engines sum it in the same order.
+      SizeEntropy.of(uf.componentSizes.toSeq.sorted, n)
+    }.reverse
+    var tau1 = tau2; var bestEnt = -1.0
+    grid.indices.foreach { k =>
+      if (entropy(k) > bestEnt + 1e-12) { bestEnt = entropy(k); tau1 = grid(k) }
+    }
+    (tau2, tau1)
   }
 
   /** Steps 3–4 for *given* thresholds. */
@@ -111,11 +144,10 @@ object PostProcess {
   }
 
   /** The complete §III-B pipeline on a finished label propagation. */
-  def extract(g: LocalGraph, labels: Array[Array[Long]],
-              tau1Step: Double = 0.0): Vector[Set[Int]] = {
+  def extract(g: LocalGraph, labels: Array[Array[Long]]): Vector[Set[Int]] = {
     val w = edgeWeights(g, labels)
-    val tau2 = chooseTau2(g, w)
-    val tau1 = chooseTau1(g, w, tau2, tau1Step)
+    val forest = spanningForest(w.iterator.map { case ((u, v), x) => (u.toLong, v.toLong, x) })
+    val (tau2, tau1) = thresholds(forest, g.n)
     extractAt(g, w, tau1, tau2)
   }
 }

@@ -1,18 +1,14 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
 import repro.graph.ConnectedComponents
-import repro.metrics.SizeEntropy
 
 /** Distributed rSLPA post-processing (§III-B): edge similarity weights,
   * threshold selection (Eqs. 1–2) and community extraction via connected
-  * components with weight filtering — "we slightly change the existing
-  * algorithm of finding connected components by adding filtering on edge
-  * weights" (§V-B2): the τ1 filter is applied inline, never materializing
-  * the filtered graph.
+  * components with weight filtering. The weights stay distributed; only a
+  * maximum spanning forest (≤ |V|−1 edges) reaches the driver, where the
+  * thresholds and components are computed as in the local engine.
   */
 object SparkPostProcess {
 
@@ -41,90 +37,36 @@ object SparkPostProcess {
       }
   }
 
-  /** DataFrame formulation of [[edgeWeights]] — relational, so the tests
-    * check it against DuckDB via the Oracle. `labelsDF(vid, label)` is the
-    * exploded memory (one row per memory slot); `edgesDF(u, v)` canonical.
-    */
-  def edgeWeightsDF(labelsDF: DataFrame, edgesDF: DataFrame, memLen: Int): DataFrame = {
-    val counts = labelsDF.groupBy("vid", "label").agg(count(lit(1)).as("cnt"))
-    val cu = counts.select(col("vid").as("u"), col("label"), col("cnt").as("cu"))
-    val cv = counts.select(col("vid").as("v"), col("label"), col("cnt").as("cv"))
-    edgesDF
-      .join(cu, "u").join(cv, Seq("v", "label"))
-      .groupBy("u", "v")
-      .agg((sum(col("cu") * col("cv")) / (memLen.toLong * memLen)).as("w"))
-  }
-
-  /** τ2 = min over non-isolated vertices of the max incident weight (Eq. 2). */
-  def chooseTau2(w: RDD[((Long, Long), Double)]): Double = {
-    val best = w.flatMap { case ((u, v), x) => Iterator((u, x), (v, x)) }
-      .reduceByKey(math.max)
-      .values
-    if (best.isEmpty()) 0.0 else best.min()
-  }
-
-  private def componentsAt(w: RDD[((Long, Long), Double)], tau1: Double): RDD[(Long, Long)] =
-    ConnectedComponents.spark(w.collect { case ((u, v), x) if x >= tau1 => (u, v) })
-
-  /** Communities (component id → size) of the τ1-filtered graph, keeping
-    * components with at least two vertices.
-    */
-  def communitySizesAt(w: RDD[((Long, Long), Double)], tau1: Double): Map[Long, Int] =
-    componentsAt(w, tau1)
-      .map { case (_, c) => (c, 1) }
-      .reduceByKey(_ + _)
-      .filter(_._2 >= 2)
-      .collect().toMap
-
-  /** τ1 = argmax of size entropy over `nCandidates` grid points in
-    * [τ2, max w] (Eq. 1; the paper enumerates with small intervals — the
-    * grid is coarser here because each probe is a distributed CC run).
-    */
-  def chooseTau1(w: RDD[((Long, Long), Double)], tau2: Double, n: Long,
-                 nCandidates: Int = 8): Double = {
-    val maxW = w.values.max()
-    if (maxW <= tau2) return tau2
-    val step = (maxW - tau2) / nCandidates
-    var best = tau2; var bestEnt = -1.0
-    var tau = tau2
-    while (tau <= maxW + 1e-12) {
-      val ent = SizeEntropy.of(communitySizesAt(w, tau).values.toSeq, n.toInt)
-      if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
-      tau += step
-    }
-    best
-  }
-
-  /** Full extraction: components at τ1 are communities; an isolated vertex
+  /** Full extraction: τ2 and τ1 come from a maximum spanning forest built
+    * by Kruskal in each partition and merged up a `treeReduce`
+    * (`PostProcess.spanningForest`), so the thresholds, the components at
+    * τ1 and the cover equal the local engine's. Components at τ1 are
+    * labelled on the driver by their minimum vertex id; an isolated vertex
     * joins the community of every non-isolated neighbor with w ≥ τ2.
     */
   def extract(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
-              memLen: Int, nCandidates: Int = 8): SparkCover = {
+              memLen: Int): SparkCover = {
     val w = edgeWeights(labels, edges, memLen).persist(StorageLevel.MEMORY_AND_DISK)
-    if (w.count() == 0)
-      return SparkCover(labels.sparkContext.emptyRDD[(Long, Long)], 0.0, 0.0)
-    val n = labels.count()
-    val tau2 = chooseTau2(w)
-    val tau1 = chooseTau1(w, tau2, n, nCandidates)
+    val forest = w
+      .mapPartitions(it => Iterator(PostProcess.spanningForest(it.map { case ((u, v), x) => (u, v, x) })))
+      .treeReduce((a, b) => PostProcess.spanningForest(a.iterator ++ b.iterator))
+    val sc = labels.sparkContext
+    if (forest.isEmpty) return SparkCover(sc.emptyRDD[(Long, Long)], 0.0, 0.0)
+    val (tau2, tau1) = PostProcess.thresholds(forest, labels.count().toInt)
 
-    val comp = componentsAt(w, tau1).persist(StorageLevel.MEMORY_AND_DISK)
-    val sizes = comp.map { case (_, c) => (c, 1) }.reduceByKey(_ + _)
-    val member = comp
-      .map { case (v, c) => (c, v) }
-      .join(sizes.filter(_._2 >= 2))
-      .map { case (c, (v, _)) => (v, c) }
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Isolated vertex u attaches to member neighbor v's community if w >= tau2.
-    val strong = w.filter(_._2 >= tau2)
-      .flatMap { case ((u, v), _) => Iterator((u, v), (v, u)) } // (maybeIsolated, nbr)
-    val attach = strong
-      .leftOuterJoin(member) // is the left endpoint already a member?
-      .collect { case (u, (v, None)) => (v, u) }
-      .join(member)          // neighbor's community
-      .map { case (_, (u, c)) => (u, c) }
-
-    val assignments = member.union(attach).distinct()
-    SparkCover(assignments, tau1, tau2)
+    val uf = new ConnectedComponents.UnionFind
+    val strong = forest.filter(_._3 >= tau1)
+    strong.foreach { case (u, v, _) => uf.union(u, v) }
+    val community = strong.iterator.flatMap(e => Iterator(e._1, e._2)).map(v => v -> uf.find(v)).toMap
+    val bc = sc.broadcast(community)
+    val attached = w.flatMap { case ((u, v), x) =>
+      if (x < tau2) Iterator.empty
+      else (bc.value.get(u), bc.value.get(v)) match {
+        case (Some(c), None) => Iterator((v, c))
+        case (None, Some(c)) => Iterator((u, c))
+        case _               => Iterator.empty
+      }
+    }.distinct()
+    SparkCover(sc.parallelize(community.toSeq).union(attached), tau1, tau2)
   }
 }

@@ -34,14 +34,13 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) {
     val del = deletions.iterator
       .flatMap { case (u, v) => Seq((u, v), (v, u)) }
       .toSet
-    val extra = insertions.iterator
-      .filter { case (u, v) => u != v }
-      .flatMap { case (u, v) => Seq((u, v), (v, u)) }
-      .toSet
+    val added = Array.fill(n)(List.empty[Int])
+    insertions.foreach { case (u, v) =>
+      require(u >= 0 && u < n && v >= 0 && v < n, s"inserted edge ($u,$v) out of range [0,$n)")
+      if (u != v) { added(u) ::= v; added(v) ::= u }
+    }
     val next = Array.tabulate(n) { u =>
-      val kept  = adj(u).iterator.filter(v => !del((u, v)))
-      val added = extra.iterator.collect { case (`u`, v) => v }
-      (kept ++ added).toArray.distinct.sorted
+      (adj(u).iterator.filter(v => !del((u, v))) ++ added(u)).toArray.distinct.sorted
     }
     new LocalGraph(n, next)
   }

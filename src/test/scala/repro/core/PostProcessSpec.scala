@@ -1,7 +1,9 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
+import repro.lfr.{LFRGenerator, LFRParams}
+import repro.metrics.SizeEntropy
 
 class PostProcessSpec extends AnyFunSuite {
 
@@ -54,19 +56,59 @@ class PostProcessSpec extends AnyFunSuite {
     assert(comms.toSet == Set(Set(0, 1), Set(3, 4)))
   }
 
+  private def forestOf(w: Map[(Int, Int), Double]) =
+    PostProcess.spanningForest(w.iterator.map { case ((u, v), x) => (u.toLong, v.toLong, x) })
+
   test("chooseTau1 maximizes size entropy") {
     // Two triangles joined by a weak edge: τ1 above the weak weight yields
     // two communities (entropy ln 2); below it, one giant (entropy ~0).
-    val g = LocalGraph.fromEdges(6,
-      Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)))
+    // The pendant vertex 6 puts τ2 at 0.1, below the bridge.
+    val g = LocalGraph.fromEdges(7,
+      Seq((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (5, 6)))
     val w = Map(
       (0, 1) -> 0.9, (1, 2) -> 0.9, (0, 2) -> 0.9,
       (3, 4) -> 0.9, (4, 5) -> 0.9, (3, 5) -> 0.9,
-      (2, 3) -> 0.3)
-    val tau1 = PostProcess.chooseTau1(g, w, tau2 = 0.1, step = 0.05)
+      (2, 3) -> 0.3, (5, 6) -> 0.1)
+    val (tau2, tau1) = PostProcess.thresholds(forestOf(w), g.n)
+    assert(tau2 == 0.1)
     assert(tau1 > 0.3 && tau1 <= 0.9, s"tau1=$tau1 should exclude the weak bridge")
     val comms = PostProcess.componentsAt(g, w, tau1)
     assert(comms.toSet == Set(Set(0, 1, 2), Set(3, 4, 5)))
+  }
+
+  test("thresholds counts edges of weight exactly tau, so tau1 can equal tau2") {
+    // At τ2 = 0.5 both {0,1} and {2,3,4} exist (entropy 0.67); above it
+    // {0,1} is gone and {2,3} (above 0.6) scores only 0.37.
+    val w = Map((0, 1) -> 0.5, (2, 3) -> 0.9, (3, 4) -> 0.6)
+    assert(PostProcess.thresholds(forestOf(w), 5) == ((0.5, 0.5)))
+  }
+
+  /** Eq. 1 by brute force: components of all edges at every grid point. */
+  private def bruteTau1(g: LocalGraph, w: Map[(Int, Int), Double], tau2: Double): Double = {
+    val maxW = w.values.max
+    val eff = math.max((maxW - tau2) / 60, 1e-9)
+    var best = tau2; var bestEnt = -1.0
+    var tau = tau2
+    while (tau <= maxW + 1e-12) {
+      val ent = SizeEntropy.of(PostProcess.componentsAt(g, w, tau).map(_.size), g.n)
+      if (ent > bestEnt + 1e-12) { bestEnt = ent; best = tau }
+      tau += eff
+    }
+    best
+  }
+
+  private lazy val sweepGraphs: Seq[(String, LocalGraph, Int)] =
+    (0 until 3).map(s => (s"web seed=$s", GraphGen.webGraphLocal(7, 600, seed = 300 + s)._2, 20)) ++
+      (0 until 2).map(s => (s"LFR seed=$s", LFRGenerator.generate(
+        LFRParams(n = 200, avgDeg = 10, maxDeg = 30, mu = 0.2, on = 20, om = 2, seed = 310 + s)).graph, 40))
+
+  test("thresholds: the forest sweep picks the brute-force tau1 and Eq. 2 tau2") {
+    for ((name, g, t) <- sweepGraphs) {
+      val w = PostProcess.edgeWeights(g, LocalRSLPA.propagate(g, T = t, seed = 320).labels)
+      val (tau2, tau1) = PostProcess.thresholds(forestOf(w), g.n)
+      assert(tau2 == PostProcess.chooseTau2(g, w), name)
+      assert(tau1 == bruteTau1(g, w, tau2), name)
+    }
   }
 
   test("extractAt attaches isolated vertices above tau2 (producing overlap)") {

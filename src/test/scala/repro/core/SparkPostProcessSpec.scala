@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.graph.{GraphGen, GraphOps, LocalGraph}
+import repro.lfr.{LFRGenerator, LFRParams}
 
 class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
 
@@ -30,7 +31,8 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     } yield (i.toLong, l)
     val labelsDF = labelRows.toDF("vid", "label")
     val edgesDF = g.edges.map { case (u, v) => (u.toLong, v.toLong) }.toDF("u", "v")
-    val got = SparkPostProcess.edgeWeightsDF(labelsDF, edgesDF, memLen = 13)
+    val got = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), memLen = 13)
+      .map { case ((u, v), w) => (u, v, w) }.toDF("u", "v", "w")
     Oracle.assertEquivalent(
       got,
       """SELECT e.u AS u, e.v AS v,
@@ -45,30 +47,33 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     )
   }
 
-  test("spark tau2 matches local tau2") {
-    val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val localW = PostProcess.edgeWeights(g, localSt.labels)
-    assert(math.abs(SparkPostProcess.chooseTau2(w) - PostProcess.chooseTau2(g, localW)) < 1e-12)
-  }
-
-  test("spark community sizes at a threshold match local components") {
-    val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val localW = PostProcess.edgeWeights(g, localSt.labels)
-    val tau = PostProcess.chooseTau2(g, localW).max(0.05)
-    val distSizes = SparkPostProcess.communitySizesAt(w, tau).values.toSeq.sorted
-    val localSizes = PostProcess.componentsAt(g, localW, tau).map(_.size).sorted
-    assert(distSizes == localSizes)
-  }
+  private def coverOf(c: SparkPostProcess.SparkCover): Set[Set[Int]] =
+    c.assignments.collect().groupBy(_._2).values.map(_.map(_._1.toInt).toSet).toSet
 
   test("spark extract yields a cover consistent with local extractAt") {
-    val w = SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
-    val cover = SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13, nCandidates = 6)
+    val cover = SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), 13)
     val localW = PostProcess.edgeWeights(g, localSt.labels)
     val localCover = PostProcess.extractAt(g, localW, cover.tau1, cover.tau2)
-    val distCover = cover.assignments.collect()
-      .groupBy(_._2).values.map(_.map(_._1.toInt).toSet).toSet
-    assert(distCover == localCover.toSet,
-      s"covers differ: dist=${distCover.size} local=${localCover.size} communities")
+    assert(coverOf(cover) == localCover.toSet,
+      s"covers differ: dist=${coverOf(cover).size} local=${localCover.size} communities")
+  }
+
+  private lazy val lfr = LFRGenerator.generate(
+    LFRParams(n = 200, avgDeg = 10, maxDeg = 30, mu = 0.2, on = 20, om = 2, seed = 72)).graph
+
+  for ((name, graph) <- Seq[(String, () => LocalGraph)]("web" -> (() => g), "LFR" -> (() => lfr))) {
+    test(s"spark extract equals local extract: cover, tau1 and tau2 ($name graph)") {
+      val gr = graph()
+      val T = 20
+      val labels = LocalRSLPA.propagate(gr, T, seed = 73).labels
+      val cover = SparkPostProcess.extract(
+        sc.parallelize(labels.indices.map(i => (i.toLong, labels(i)))), GraphOps.edgesRDD(sc, gr), T + 1)
+      val w = PostProcess.edgeWeights(gr, labels)
+      val (tau2, tau1) = PostProcess.thresholds(
+        PostProcess.spanningForest(w.iterator.map { case ((u, v), x) => (u.toLong, v.toLong, x) }), gr.n)
+      assert(cover.tau1 == tau1 && cover.tau2 == tau2)
+      assert(coverOf(cover) == PostProcess.extract(gr, labels).toSet)
+    }
   }
 
   test("extract on a graph with no edges returns an empty cover") {

@@ -1,10 +1,10 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
-import repro.util.{Rng, SplitMix64}
+import repro.core.PostProcess
+import repro.util.SplitMix64
 
-class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
+class ConnectedComponentsSpec extends AnyFunSuite {
 
   /** Brute-force reference: BFS flood fill. */
   private def bfs(n: Int, edges: Seq[(Int, Int)]): Array[Int] = {
@@ -56,41 +56,40 @@ class ConnectedComponentsSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
-  test("spark CC matches local on a fixed graph") {
-    val edges = Seq((0L, 1L), (1L, 2L), (5L, 6L), (7L, 7L))
-    val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges)).collect().toMap
-    assert(got(0L) == got(1L) && got(1L) == got(2L))
-    assert(got(5L) == got(6L))
-    assert(got(5L) != got(0L))
-    assert(got(7L) == 7L)
+  /** Random weighted graph; weights come from five values, so ties occur. */
+  private def weighted(seed: Long): (Int, Seq[(Long, Long, Double)]) = {
+    val rng = new SplitMix64(seed)
+    val n = 60
+    val edges = (1 to 120).map(_ => (rng.nextInt(n).toLong, rng.nextInt(n).toLong, rng.nextInt(5) / 4.0))
+      .filter(e => e._1 != e._2)
+    (n, edges)
   }
 
-  for (seed <- 10 until 13) {
-    test(s"spark CC matches local union-find on random graph (seed=$seed)") {
-      val rng = Rng.forItem(seed, 0, Rng.SaltGen)
-      val n = 80
-      val edges = (1 to 100).map(_ => (rng.nextInt(n), rng.nextInt(n))).filter(e => e._1 != e._2)
-      val local = ConnectedComponents.local(n, edges)
-      val got = ConnectedComponents
-        .spark(spark.sparkContext.parallelize(edges.map { case (u, v) => (u.toLong, v.toLong) }))
-        .collect().toMap
-      // Vertices present in edges must agree with the local partition.
-      val present = edges.flatMap { case (u, v) => Seq(u, v) }.distinct
-      for (u <- present; v <- present if u < v)
-        assert((got(u.toLong) == got(v.toLong)) == (local(u) == local(v)), s"($u,$v) disagree")
+  /** Same partition of `0 until n` from two edge sets, at every τ where the
+    * partition of all edges can change (each distinct weight, so every
+    * grid τ of `PostProcess.thresholds` as well).
+    */
+  private def assertSameComponents(n: Int, all: Seq[(Long, Long, Double)],
+                                   forest: Seq[(Long, Long, Double)]): Unit = {
+    def at(es: Seq[(Long, Long, Double)], tau: Double) =
+      ConnectedComponents.local(n, es.collect { case (u, v, x) if x >= tau => (u.toInt, v.toInt) })
+    for (tau <- all.map(_._3).distinct)
+      assert(at(all, tau).toSeq == at(forest, tau).toSeq, s"components differ at tau=$tau")
+  }
+
+  for (seed <- 20 until 23) {
+    test(s"spanning forest keeps the components at every threshold (seed=$seed)") {
+      val (n, edges) = weighted(seed)
+      val forest = PostProcess.spanningForest(edges.iterator)
+      assert(forest.length < n)
+      assertSameComponents(n, edges, forest.toSeq)
     }
-  }
 
-  test("spark CC component ids are the minimum vertex id") {
-    val edges = Seq((3L, 9L), (9L, 4L), (10L, 12L))
-    val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges)).collect().toMap
-    assert(got(3L) == 3L && got(9L) == 3L && got(4L) == 3L)
-    assert(got(10L) == 10L && got(12L) == 10L)
-  }
-
-  test("spark CC handles a long path (log-round convergence)") {
-    val edges = (0L until 63L).map(i => (i, i + 1))
-    val got = ConnectedComponents.spark(spark.sparkContext.parallelize(edges)).collect().toMap
-    assert(got.values.toSet == Set(0L))
+    test(s"forest merged from per-chunk forests keeps the components (seed=$seed)") {
+      val (n, edges) = weighted(seed)
+      val merged = edges.grouped(17).map(c => PostProcess.spanningForest(c.iterator))
+        .reduce((a, b) => PostProcess.spanningForest(a.iterator ++ b.iterator))
+      assertSameComponents(n, edges, merged.toSeq)
+    }
   }
 }

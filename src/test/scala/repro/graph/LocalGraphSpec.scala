@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.dynamic.EditBatch
 
 class LocalGraphSpec extends AnyFunSuite {
 
@@ -82,5 +83,13 @@ class LocalGraphSpec extends AnyFunSuite {
     val g2 = triangle.edited(Seq((0, 3)), Seq((1, 2)))
     val g3 = g2.edited(Seq((1, 2)), Seq((0, 3)))
     assert(g3.edges == triangle.edges)
+  }
+
+  test("edited matches a graph rebuilt from the edited edge list") {
+    val g = GraphGen.webGraphLocal(8, 1500, seed = 5)._2
+    val b = EditBatch.halfAndHalf(g, 200, seed = 6)
+    val rebuilt = LocalGraph.fromEdges(g.n, (g.edges.toSet -- b.deletions ++ b.insertions).toSeq)
+    val got = g.edited(b.insertions, b.deletions)
+    assert((0 until g.n).forall(i => got.adj(i).sameElements(rebuilt.adj(i))))
   }
 }
