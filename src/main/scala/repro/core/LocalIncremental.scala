@@ -29,7 +29,8 @@ final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rou
   *    uniformly among all current neighbors.
   *
   * Phase 2 — subsequent updates (§IV-B): changed label values are pushed
-  * along the reverse receiver records R; a change at position t can only
+  * along the reverse receiver records R, built once from the final picks
+  * as a compressed sparse row index; a change at position t can only
   * trigger changes at positions > t, so processing corrections in
   * ascending position order reaches the unique fixpoint
   * (l_i^t = l_{src}^{pos} for all t) in ≤ T steps.
@@ -47,6 +48,26 @@ object LocalIncremental {
     Picks
       .repick(oldAdj.map(_.toLong), newAdj.map(_.toLong), i.toLong, t, curSrc.toLong, seed, epoch)
       .map { case (s, p) => (s.toInt, p) }
+
+  /** The receiver records R of §IV-B as a compressed sparse row index over
+    * packed ids `v·(T+1)+t`: the receivers `(tar, k)` that picked `(j, p)`
+    * are `recv(start(id) until start(id + 1))` for `id = j·(T+1)+p`.
+    */
+  private def receivers(st: RslpaState): (Array[Int], Array[Int]) = {
+    val w = st.T + 1
+    require(st.n.toLong * w < Int.MaxValue, s"n·(T+1) = ${st.n.toLong * w} does not fit in an Int")
+    val start = new Array[Int](st.n * w + 1)
+    for (i <- 0 until st.n; t <- 1 to st.T) start(st.srcs(i)(t) * w + st.poss(i)(t) + 1) += 1
+    for (id <- 1 to st.n * w) start(id) += start(id - 1)
+    val fill = start.clone()
+    val recv = new Array[Int](start(st.n * w))
+    for (i <- 0 until st.n; t <- 1 to st.T) {
+      val id = st.srcs(i)(t) * w + st.poss(i)(t)
+      recv(fill(id)) = i * w + t
+      fill(id) += 1
+    }
+    (start, recv)
+  }
 
   /** Apply the edit batch: update `st` in place to the distributionally
     * correct state for `newG`.
@@ -80,10 +101,7 @@ object LocalIncremental {
         while (t <= T) {
           repickDecision(oldAdj, newAdj, i, t, st.srcs(i)(t), seed, epoch) match {
             case Some((src2, pos2)) =>
-              val (src0, pos0) = (st.srcs(i)(t), st.poss(i)(t))
-              st.recv(src0)(pos0) = st.recv(src0)(pos0).filterNot(_ == ((i, t)))
               st.srcs(i)(t) = src2; st.poss(i)(t) = pos2
-              st.recv(src2)(pos2) ::= ((i, t))
               repicked += 1
               touched += ((i, t))
               setLabel(i, t, st.labels(src2)(pos2))
@@ -96,11 +114,17 @@ object LocalIncremental {
     }
 
     // Phase 2: correction propagation along R.
+    val (start, recv) = receivers(st)
     var rounds = 0
     while (queue.nonEmpty) {
       val (j, p) = queue.dequeue()
       val l = st.labels(j)(p)
-      st.recv(j)(p).foreach { case (tar, k) => setLabel(tar, k, l) }
+      val id = j * (T + 1) + p
+      var r = start(id)
+      while (r < start(id + 1)) {
+        setLabel(recv(r) / (T + 1), recv(r) % (T + 1), l)
+        r += 1
+      }
       rounds = math.max(rounds, p)
     }
     UpdateStats(repicked, changed.size.toLong, touched.size.toLong, rounds)

@@ -13,8 +13,8 @@ import repro.graph.LocalGraph
   * fetched per iteration (vs one per *edge* in SLPA), the paper's
   * O(|V|)-per-iteration communication argument.
   *
-  * The `(src, pos)` picks and the reverse receiver records `R` are kept in
-  * the returned [[RslpaState]] — the bookkeeping Algorithm 2 needs.
+  * The `(src, pos)` picks are kept in the returned [[RslpaState]] — the
+  * bookkeeping Algorithm 2 needs.
   */
 object LocalRSLPA {
 
@@ -33,7 +33,6 @@ object LocalRSLPA {
     val labels = Array.tabulate(n)(i => { val a = new Array[Long](T + 1); a(0) = i.toLong; a })
     val srcs = Array.fill(n)(Array.fill(T + 1)(-1))
     val poss = Array.fill(n)(Array.fill(T + 1)(-1))
-    val recv = Array.fill(n)(Array.fill(T + 1)(List.empty[(Int, Int)]))
     var t = 1
     while (t <= T) {
       var i = 0
@@ -42,18 +41,17 @@ object LocalRSLPA {
         labels(i)(t) = labels(src)(pos)
         srcs(i)(t) = src
         poss(i)(t) = pos
-        recv(src)(pos) ::= ((i, t))
         i += 1
       }
       t += 1
     }
-    new RslpaState(n, T, labels, srcs, poss, recv)
+    new RslpaState(n, T, labels, srcs, poss)
   }
 
   /** Label memories only — identical picks to [[propagate]] but without the
-    * (src, pos, R) bookkeeping. Used by the quality sweeps, where no
-    * incremental updating follows and the reverse records would dominate
-    * memory at N = 50K, T = 1000.
+    * `(src, pos)` bookkeeping. Used by the quality sweeps, where no
+    * incremental updating follows and the picks would double memory at
+    * N = 50K, T = 1000.
     */
   def propagateLabelsOnly(g: LocalGraph, T: Int, seed: Long): Array[Array[Long]] = {
     val n = g.n

@@ -6,20 +6,19 @@ package repro.core
   *  - `labels(i)(t)` — the label picked at iteration t (`labels(i)(0) = i`);
   *  - `srcs(i)(t)` / `poss(i)(t)` — the uniformly picked neighbor and
   *    position the label was fetched from (Algorithm 1). A degree-0 vertex
-  *    self-picks: `srcs(i)(t) = i`, `poss(i)(t) = 0`;
-  *  - `recv(i)(p)` — the reverse records R of §IV-B: the list of `(tar, k)`
-  *    pairs meaning vertex `tar` picked `l_i^p` at its iteration `k`.
+  *    self-picks: `srcs(i)(t) = i`, `poss(i)(t) = 0`.
   *
   * This is exactly the information Algorithm 2 (correction propagation)
-  * needs to incrementally maintain the sequences under edge edits.
+  * needs to incrementally maintain the sequences under edge edits; its
+  * reverse records R are a function of `(srcs, poss)` and are derived on
+  * demand ([[LocalIncremental]]).
   */
 final class RslpaState(
     val n: Int,
     val T: Int,
     val labels: Array[Array[Long]],
     val srcs: Array[Array[Int]],
-    val poss: Array[Array[Int]],
-    val recv: Array[Array[List[(Int, Int)]]]
+    val poss: Array[Array[Int]]
 ) {
 
   /** Deep copy — incremental updating mutates in place. */
@@ -28,13 +27,13 @@ final class RslpaState(
       n, T,
       labels.map(_.clone()),
       srcs.map(_.clone()),
-      poss.map(_.clone()),
-      recv.map(_.clone())
+      poss.map(_.clone())
     )
 
   /** Structural invariant check used by tests: every recorded (src, pos)
     * points inside bounds, the stored label equals the source's label at
-    * that position, and `recv` mirrors `(srcs, poss)` exactly.
+    * that position, and every source is a live neighbor (or a self-pick of
+    * an isolated vertex).
     */
   def checkInvariants(adj: Int => Array[Int]): Seq[String] = {
     val errs = Seq.newBuilder[String]
@@ -50,13 +49,7 @@ final class RslpaState(
           errs += s"src $s of ($i,$t) is not a neighbor of $i"
         if (s == i && adj(i).nonEmpty)
           errs += s"self-pick at ($i,$t) but vertex has neighbors"
-        if (!recv(s)(p).contains((i, t)))
-          errs += s"recv(${s})(${p}) missing receiver ($i,$t)"
       }
-    }
-    for (i <- 0 until n; p <- 0 to T; (tar, k) <- recv(i)(p)) {
-      if (srcs(tar)(k) != i || poss(tar)(k) != p)
-        errs += s"stale recv entry ($tar,$k) at ($i,$p)"
     }
     errs.result()
   }

@@ -5,232 +5,77 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import repro.core.SparkRSLPA.RVState
 
-/** Distributed Correction Propagation — Algorithm 2 on the keyed-RDD state
-  * produced by [[SparkRSLPA]].
+/** Distributed incremental updating on the keyed-RDD state produced by
+  * [[SparkRSLPA]].
   *
-  * Round structure mirrors the paper's Mapper/Reducer pseudocode:
-  *  1. every vertex with a changed neighborhood evaluates `NeedRepick` /
-  *     `Repick` for each of its T picks ([[Picks.repick]], deterministic),
-  *     emitting *unregister* messages to old sources and *fetch* requests
-  *     to new sources;
-  *  2. sources serve the requested labels and maintain their receiver
-  *     records R (§IV-B's maintenance);
-  *  3. requesters apply the answers; every label whose value changed
-  *     notifies its receivers (from R), which apply and forward — the
-  *     `while any buffer is non-empty` loop. A change at position t only
-  *     triggers positions > t, so the cascade quiesces within T levels.
+  *  1. One co-partitioned pass applies §IV-A: every vertex with a changed
+  *     neighborhood evaluates `NeedRepick` / `Repick` for each of its T
+  *     picks ([[Picks.repick]], deterministic, Theorems 4/5).
+  *  2. The labels are then re-derived from the new picks with the same
+  *     chain-resolution primitive as propagation ([[SparkRSLPA.resolve]]).
   *
-  * The vertex state is hash-partitioned once; phases 1a–1c are
-  * partition-preserving cogroups against small message RDDs, so only the
-  * O(η) messages are shuffled, never the O(|V|·T) state. The §IV-B
-  * correction cascade (step 3) is *driver-coordinated*: the affected
-  * closure — η labels, small by the paper's own analysis — is pulled in
-  * vertex-batched bulk joins and cascaded centrally, then written back in
-  * one partition-preserving merge. This trades the paper's per-position
-  * barrier rounds (up to T of them, each paying a scheduler floor) for a
-  * handful of vertex-level rounds, which is what realizes the Fig. 9
-  * speedups at single-machine scale.
-  *
-  * The final state is bit-identical to [[LocalIncremental.update]] under
-  * the same `(seed, epoch)` — both converge to the unique fixpoint
-  * `l_i^t = l_{src_i^t}^{pos_i^t}` over identical `(src, pos)` picks.
+  * Step 2 replaces the §IV-B correction cascade over receiver records R:
+  * the labels `l_i^t = l_{src}^{pos}` have a unique fixpoint for fixed
+  * picks, and resolving it directly takes at most `max(1, ⌈log2 T⌉)`
+  * rounds and needs no R. The final state is therefore bit-identical to
+  * [[LocalIncremental.update]] under the same `(seed, epoch)`, which reaches
+  * that fixpoint by the cascade. Every chain is re-resolved, so an update
+  * costs about as much as a scratch resolution.
   */
 object SparkCorrection {
 
-  /** Stats mirroring [[UpdateStats]]: picks changed, label values changed,
-    * correction rounds until quiescence.
+  /** Stats from the data, mirroring [[UpdateStats]]: positions whose
+    * `(src, pos)` changed, positions whose label changed (the paper's η),
+    * and doubling rounds.
     */
   final case class SparkUpdateStats(repicked: Long, corrected: Long, rounds: Int)
 
-  // Source-side events: kind 0 = unregister (pos, tar, k); 1 = fetch+register.
-  private type Event = (Int, Int, Long, Int)
-
-  /** Apply the receiver-record maintenance of `evs` to a copy of `recv`. */
-  private def maintained(recv: Array[List[(Long, Int)]],
-                         evs: Iterable[Event]): Array[List[(Long, Int)]] = {
-    val out = recv.clone()
-    evs.foreach {
-      case (0, pos, tar, k) => out(pos) = out(pos).filterNot(_ == ((tar, k)))
-      case (1, pos, tar, k) => out(pos) ::= ((tar, k))
-      case other            => throw new IllegalStateException(s"bad event $other")
-    }
-    out
-  }
-
-  /** Apply an edit batch. `newAdj` must list the (sorted) adjacency of
-    * every vertex of the new graph. Returns the updated state.
+  /** Apply an edit batch. `newAdj` must list the adjacency of every vertex
+    * of the state and no other vertex. Returns the updated state —
+    * persisted, materialized and lineage-truncated — and its stats.
     */
   def update(state0: RDD[(Long, RVState)], newAdj: RDD[(Long, Array[Long])],
              T: Int, seed: Long, epoch: Long,
              numPartitions: Int = 0): (RDD[(Long, RVState)], SparkUpdateStats) = {
-    val sc = state0.sparkContext
-    val parts = if (numPartitions > 0) numPartitions else sc.defaultParallelism
+    val parts = if (numPartitions > 0) numPartitions else state0.sparkContext.defaultParallelism
     val part = new HashPartitioner(parts)
-    val repickedAcc = sc.longAccumulator("repicked")
-    val correctedAcc = sc.longAccumulator("corrected")
-
     val state =
       if (state0.getStorageLevel == StorageLevel.NONE) state0.persist(StorageLevel.MEMORY_AND_DISK)
       else state0
-    val nadj = newAdj.mapValues(_.sorted).partitionBy(part).persist(StorageLevel.MEMORY_AND_DISK)
 
-    // Phase 1a: decide repicks, address unregister/fetch events to sources.
-    val events: RDD[(Long, Event)] = state.join(nadj, part).flatMap { case (i, (st, nn)) =>
-      if (java.util.Arrays.equals(st.nbrs, nn)) Iterator.empty
-      else (1 to T).iterator.flatMap { t =>
-        Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch) match {
-          case Some((src2, pos2)) =>
-            repickedAcc.add(1)
-            Iterator(
-              (st.srcs(t), (0, st.poss(t), i, t): Event),
-              (src2, (1, pos2, i, t): Event)
-            )
-          case None => Iterator.empty
-        }
-      }
-    }
-    val evGrouped = events.groupByKey(part).persist(StorageLevel.MEMORY_AND_DISK)
-
-    // Phase 1b: sources serve the requested labels (pre-update values —
-    // stale reads are healed by the correction loop).
-    val responses: RDD[(Long, (Int, Long))] =
-      state.join(evGrouped, part).flatMap { case (_, (st, evs)) =>
-        evs.iterator.collect { case (1, pos, i, t) => (i, (t, st.labels(pos))) }
-      }
-
-    // Phase 1c: one cogroup, consumed twice — a partition-preserving state
-    // update and a (small) first wave of corrections. Note phase 2 below
-    // only ever changes label *values*: the (src, pos) picks and receiver
-    // records are final after this phase.
-    val joined = state.cogroup(evGrouped, responses, nadj, part)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
-    val applied: RDD[(Long, RVState)] = joined.mapPartitions(
-      _.map { case (i, (sts, evsG, respG, nadjG)) =>
-        val st = sts.head
-        val nn = nadjG.headOption.getOrElse(st.nbrs)
-        val evs = evsG.iterator.flatten.toSeq
-        val resp = respG.toSeq
-        if (evs.isEmpty && resp.isEmpty && (nn sameElements st.nbrs)) (i, st)
+    val picks = state.cogroup(newAdj, part).mapPartitions(
+      _.map { case (i, (sts, adjs)) =>
+        val st = sts.headOption.getOrElse(
+          throw new IllegalArgumentException(s"newAdj lists vertex $i, which is not in the state"))
+        val nn = adjs.headOption.getOrElse(
+          throw new IllegalArgumentException(s"vertex $i of the state is missing from newAdj")).sorted
+        if (java.util.Arrays.equals(st.nbrs, nn)) (i, st)
         else {
-          val newRecv = maintained(st.recv, evs)
-          val labels = st.labels.clone()
-          val srcs = st.srcs.clone()
-          val poss = st.poss.clone()
-          resp.foreach { case (t, lbl) =>
-            // Recompute the (deterministic) decision to learn (src, pos).
-            val (src2, pos2) = Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch)
-              .getOrElse(throw new IllegalStateException(s"lost repick at ($i,$t)"))
-            srcs(t) = src2; poss(t) = pos2
-            if (labels(t) != lbl) { labels(t) = lbl; correctedAcc.add(1) }
+          val srcs = st.srcs.clone(); val poss = st.poss.clone()
+          var t = 1
+          while (t <= T) {
+            Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch).foreach { case (s, p) =>
+              srcs(t) = s; poss(t) = p
+            }
+            t += 1
           }
-          (i, RVState(nn, labels, srcs, poss, newRecv))
+          (i, RVState(nn, st.labels, srcs, poss))
         }
       },
       preservesPartitioning = true
-    ).persist(StorageLevel.MEMORY_AND_DISK)
+    )
+    val (result, rounds) = SparkRSLPA.resolve(picks, T, part)
 
-    // First-wave corrections as *source references* (tar, k, srcV, srcP):
-    // the receiver re-reads the source's current value at apply time, so
-    // out-of-order delivery across driver rounds cannot apply stale values.
-    val firstCorrections: RDD[(Long, Int, Long, Int)] = joined.flatMap {
-      case (i, (sts, evsG, respG, _)) =>
-        val st = sts.head
-        val resp = respG.toSeq
-        if (resp.isEmpty) Iterator.empty
-        else {
-          val newRecv = maintained(st.recv, evsG.iterator.flatten.toSeq)
-          resp.iterator.flatMap { case (t, lbl) =>
-            if (st.labels(t) != lbl) {
-              newRecv(t).iterator.map { case (tar, k) => (tar, k, i, t) }
-            } else Iterator.empty
-          }
-        }
-    }
-
-    applied.count()
-
-    // Phase 2: correction propagation, driver-coordinated.
-    //
-    // The cascade is position-ordered and can be up to T levels deep, but
-    // its *volume* is η << T·|V| (the §IV-D analysis — the reason
-    // incremental updating wins at all). Running one Spark barrier per
-    // position level would pay up to T scheduling floors, which at small
-    // scale costs as much as a from-scratch run. Instead, the affected
-    // closure is pulled to the driver in vertex-batched BFS rounds — one
-    // `join` per *vertex-level* hop, typically far fewer than T — and the
-    // per-label cascade runs centrally over the fetched sub-state. Only
-    // label values change in phase 2 (picks and receiver records are final
-    // after phase 1), so the write-back is a single partition-preserving
-    // merge of (vertex → changed positions).
-    import scala.collection.mutable
-    val fetched = mutable.HashMap.empty[Long, (Array[Long], Array[List[(Long, Int)]])]
-    val changed = mutable.HashMap.empty[Long, mutable.HashMap[Int, Long]]
-    // Corrections (tar, k, srcV, srcP) waiting for a vertex to be fetched.
-    var deferred = mutable.ArrayBuffer.empty[(Long, Int, Long, Int)]
-    deferred ++= firstCorrections.collect()
-
-    def curVal(v: Long, p: Int): Long =
-      changed.get(v).flatMap(_.get(p)).getOrElse(fetched(v)._1(p))
-
-    var rounds = 0
-    while (deferred.nonEmpty && rounds < 2 * (T + 1)) {
-      // Fetch the next frontier (targets and sources) in one bulk join.
-      val need = deferred.iterator
-        .flatMap { case (tar, _, srcV, _) => Iterator(tar, srcV) }
-        .filterNot(fetched.contains).toSet.toSeq
-      if (need.nonEmpty) {
-        val needRdd = sc.parallelize(need.map(v => (v, ())), parts).partitionBy(part)
-        applied.join(needRdd, part)
-          .mapValues { case (st, _) => (st.labels, st.recv) }
-          .collect()
-          .foreach { case (v, payload) => fetched(v) = payload }
+    val (nRepicked, nCorrected) = state.join(result, part).values.map { case (a, b) =>
+      var r = 0L; var c = 0L
+      var t = 0
+      while (t <= T) {
+        if (a.srcs(t) != b.srcs(t) || a.poss(t) != b.poss(t)) r += 1
+        if (a.labels(t) != b.labels(t)) c += 1
+        t += 1
       }
-      // Cascade over everything currently fetchable, ordered by position.
-      val queue = mutable.PriorityQueue.empty[(Long, Int, Long, Int)](
-        Ordering.by { case (_, k, _, _) => -k })
-      deferred.foreach(queue.enqueue(_))
-      deferred = mutable.ArrayBuffer.empty
-      while (queue.nonEmpty) {
-        val e @ (tar, k, srcV, srcP) = queue.dequeue()
-        if (!fetched.contains(tar) || !fetched.contains(srcV)) deferred += e
-        else {
-          val l = curVal(srcV, srcP)
-          if (curVal(tar, k) != l) {
-            changed.getOrElseUpdate(tar, mutable.HashMap.empty)(k) = l
-            correctedAcc.add(1)
-            fetched(tar)._2(k).foreach { case (t2, k2) => queue.enqueue((t2, k2, tar, k)) }
-          }
-        }
-      }
-      rounds += 1
-    }
-
-    // Write back the changed label values (partition-preserving merge).
-    val result =
-      if (changed.isEmpty) applied
-      else {
-        val updates = sc.parallelize(
-          changed.iterator.map { case (v, m) => (v, m.toArray) }.toSeq, parts)
-        val merged = applied.cogroup(updates, part).mapPartitions(
-          _.map { case (i, (sts, ups)) =>
-            val st = sts.head
-            val us = ups.iterator.flatten.toArray
-            if (us.isEmpty) (i, st)
-            else {
-              val labels = st.labels.clone()
-              us.foreach { case (k, l) => labels(k) = l }
-              (i, RVState(st.nbrs, labels, st.srcs, st.poss, st.recv))
-            }
-          },
-          preservesPartitioning = true
-        ).persist(StorageLevel.MEMORY_AND_DISK)
-        merged.count()
-        merged
-      }
-    nadj.unpersist(blocking = false)
-    evGrouped.unpersist(blocking = false)
-    joined.unpersist(blocking = false)
-    (result, SparkUpdateStats(repickedAcc.value, correctedAcc.value, rounds))
+      (r, c)
+    }.fold((0L, 0L)) { case ((r1, c1), (r2, c2)) => (r1 + r2, c1 + c2) }
+    (result, SparkUpdateStats(nRepicked, nCorrected, rounds))
   }
 }

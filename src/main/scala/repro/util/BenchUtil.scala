@@ -1,8 +1,9 @@
 package repro.util
 
-/** Small helpers shared by jobs/ and bench/: wall-clock timing and aligned
-  * table printing (each bench prints the rows of the paper table/figure it
-  * reproduces; EXPERIMENTS.md records them next to the paper's values).
+/** Small helpers shared by the experiments and bench/: wall-clock timing
+  * and aligned table printing (each bench prints the rows of the paper
+  * table/figure it reproduces; EXPERIMENTS.md records them next to the
+  * paper's values).
   */
 object BenchUtil {
 

@@ -45,18 +45,6 @@ class LocalRSLPASpec extends AnyFunSuite {
       assert(st.labels(i)(t) == st.labels(st.srcs(i)(t))(st.poss(i)(t)))
   }
 
-  test("receiver records mirror (src, pos) exactly") {
-    val g = twoCliques
-    val st = LocalRSLPA.propagate(g, 10, seed = 7)
-    val fromRecords = (for {
-      i <- 0 until g.n; p <- 0 to 10; (tar, k) <- st.recv(i)(p)
-    } yield (tar, k, i, p)).toSet
-    val fromPicks = (for {
-      i <- 0 until g.n; t <- 1 to 10
-    } yield (i, t, st.srcs(i)(t), st.poss(i)(t))).toSet
-    assert(fromRecords == fromPicks)
-  }
-
   test("isolated vertices keep their own label") {
     val g = LocalGraph.fromEdges(4, Seq((0, 1)))
     val st = LocalRSLPA.propagate(g, 8, seed = 8)

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.graph.{GraphGen, GraphOps, LocalGraph}
@@ -14,11 +15,23 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
       assert(d.labels.toSeq == local.labels(i).toSeq, s"labels differ at $i")
       assert(d.srcs.drop(1).map(_.toInt).toSeq == local.srcs(i).drop(1).toSeq, s"srcs differ at $i")
       assert(d.poss.drop(1).toSeq == local.poss(i).drop(1).toSeq, s"poss differ at $i")
-      for (p <- 0 until d.recv.length) {
-        val dr = d.recv(p).map { case (tar, k) => (tar.toInt, k) }.toSet
-        assert(dr == local.recv(i)(p).toSet, s"recv differ at ($i,$p)")
-      }
     }
+  }
+
+  /** Smallest k with 2^k >= T, at least 1: the doubling-round bound. */
+  private def roundBound(T: Int): Int = math.max(1, Iterator.iterate(1)(_ * 2).indexWhere(_ >= T))
+
+  /** Picks + resolve on a random power-law graph, checked against the local
+    * engine; the round count must stay within the doubling bound.
+    */
+  private def checkRandomGraph(seed: Long, T: Int): Unit = {
+    val g = GraphGen.webGraphLocal(7, 350, seed = seed)._2
+    val local = LocalRSLPA.propagate(g, T, seed = seed * 17)
+    val part = new HashPartitioner(spark.sparkContext.defaultParallelism)
+    val (dist, rounds) = SparkRSLPA.resolve(
+      SparkRSLPA.picks(GraphOps.adjacencyRDD(spark.sparkContext, g), T, seed * 17, part), T, part)
+    assertStateMatches(local, dist.collect().toMap)
+    assert(rounds <= roundBound(T), s"$rounds doubling rounds for T=$T")
   }
 
   test("spark rSLPA state is bit-identical to local on a small graph") {
@@ -31,12 +44,12 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
 
   for (seed <- Seq(1L, 2L)) {
     test(s"spark rSLPA matches local on a random power-law graph (seed=$seed)") {
-      val g = GraphGen.webGraphLocal(7, 350, seed = seed)._2
-      val local = LocalRSLPA.propagate(g, T = 10, seed = seed * 17)
-      val dist = SparkRSLPA.propagate(GraphOps.adjacencyRDD(spark.sparkContext, g), 10, seed * 17)
-        .collect().toMap
-      assertStateMatches(local, dist)
+      checkRandomGraph(seed, T = 10)
     }
+  }
+
+  test("spark rSLPA matches local on a random power-law graph with deep chains (T=200)") {
+    checkRandomGraph(seed = 3, T = 200)
   }
 
   test("spark rSLPA handles isolated vertices (self-picks)") {
@@ -46,6 +59,16 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
     assert(dist(2L).labels.forall(_ == 2L))
     assert(dist(3L).labels.forall(_ == 3L))
     assertStateMatches(LocalRSLPA.propagate(g, 6, 5), dist)
+  }
+
+  test("resolve fails loudly on a pick chain that never reaches position 0") {
+    // Vertices 0 and 1 copy each other's position 1: a cycle, not a chain.
+    val picks = spark.sparkContext.parallelize(Seq(
+      0L -> SparkRSLPA.RVState(Array(1L), Array.emptyLongArray, Array(0L, 1L), Array(0, 1)),
+      1L -> SparkRSLPA.RVState(Array(0L), Array.emptyLongArray, Array(1L, 0L), Array(0, 1))))
+    val part = new HashPartitioner(2)
+    val e = intercept[IllegalStateException](SparkRSLPA.resolve(picks.partitionBy(part), 1, part))
+    assert(e.getMessage.contains("unresolved after 1 rounds"), e.getMessage)
   }
 
   test("spark rSLPA memory lengths are T+1") {
