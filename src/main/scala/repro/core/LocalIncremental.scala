@@ -40,15 +40,6 @@ final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rou
   */
 object LocalIncremental {
 
-  /** The deterministic Category-2/3 decision for `(i, t)` — delegates to
-    * [[Picks.repick]], shared with the Spark engine.
-    */
-  def repickDecision(oldAdj: Array[Int], newAdj: Array[Int], i: Int, t: Int,
-                     curSrc: Int, seed: Long, epoch: Long): Option[(Int, Int)] =
-    Picks
-      .repick(oldAdj.map(_.toLong), newAdj.map(_.toLong), i.toLong, t, curSrc.toLong, seed, epoch)
-      .map { case (s, p) => (s.toInt, p) }
-
   /** The receiver records R of §IV-B as a compressed sparse row index over
     * packed ids `v·(T+1)+t`: the receivers `(tar, k)` that picked `(j, p)`
     * are `recv(start(id) until start(id + 1))` for `id = j·(T+1)+p`.
@@ -97,10 +88,12 @@ object LocalIncremental {
     while (i < n) {
       val oldAdj = oldG.adj(i); val newAdj = newG.adj(i)
       if (!newAdj.sameElements(oldAdj)) {
+        val diff = Picks.NbrDiff(oldAdj.map(_.toLong), newAdj.map(_.toLong))
         var t = 1
         while (t <= T) {
-          repickDecision(oldAdj, newAdj, i, t, st.srcs(i)(t), seed, epoch) match {
-            case Some((src2, pos2)) =>
+          Picks.repick(diff, i.toLong, t, st.srcs(i)(t).toLong, seed, epoch) match {
+            case Some((s, pos2)) =>
+              val src2 = s.toInt
               st.srcs(i)(t) = src2; st.poss(i)(t) = pos2
               repicked += 1
               touched += ((i, t))

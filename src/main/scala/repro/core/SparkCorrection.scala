@@ -8,9 +8,10 @@ import repro.core.SparkRSLPA.RVState
 /** Distributed incremental updating on the keyed-RDD state produced by
   * [[SparkRSLPA]].
   *
-  *  1. One co-partitioned pass applies §IV-A: every vertex with a changed
-  *     neighborhood evaluates `NeedRepick` / `Repick` for each of its T
-  *     picks ([[Picks.repick]], deterministic, Theorems 4/5).
+  *  1. One pass, zipping the state with `newAdj` partitioned alike,
+  *     applies §IV-A: every vertex with a changed neighborhood computes its
+  *     neighbor diff once and evaluates `NeedRepick` / `Repick` for each of
+  *     its T picks ([[Picks.repick]], deterministic, Theorems 4/5).
   *  2. The labels are then re-derived from the new picks with the same
   *     chain-resolution primitive as propagation ([[SparkRSLPA.resolve]]).
   *
@@ -39,42 +40,48 @@ object SparkCorrection {
              numPartitions: Int = 0): (RDD[(Long, RVState)], SparkUpdateStats) = {
     val parts = if (numPartitions > 0) numPartitions else state0.sparkContext.defaultParallelism
     val part = new HashPartitioner(parts)
-    val state =
+    val state = (
       if (state0.getStorageLevel == StorageLevel.NONE) state0.persist(StorageLevel.MEMORY_AND_DISK)
-      else state0
+      else state0).partitionBy(part)
 
-    val picks = state.cogroup(newAdj, part).mapPartitions(
-      _.map { case (i, (sts, adjs)) =>
-        val st = sts.headOption.getOrElse(
-          throw new IllegalArgumentException(s"newAdj lists vertex $i, which is not in the state"))
-        val nn = adjs.headOption.getOrElse(
+    val picks = state.zipPartitions(newAdj.partitionBy(part), preservesPartitioning = true) { (sts, adjs) =>
+      val adj = Combine.index(adjs)
+      val out = sts.map { case (i, st) =>
+        val nn = adj.remove(i).getOrElse(
           throw new IllegalArgumentException(s"vertex $i of the state is missing from newAdj")).sorted
         if (java.util.Arrays.equals(st.nbrs, nn)) (i, st)
         else {
+          val diff = Picks.NbrDiff(st.nbrs, nn)
           val srcs = st.srcs.clone(); val poss = st.poss.clone()
           var t = 1
           while (t <= T) {
-            Picks.repick(st.nbrs, nn, i, t, st.srcs(t), seed, epoch).foreach { case (s, p) =>
+            Picks.repick(diff, i, t, st.srcs(t), seed, epoch).foreach { case (s, p) =>
               srcs(t) = s; poss(t) = p
             }
             t += 1
           }
           (i, RVState(nn, st.labels, srcs, poss))
         }
-      },
-      preservesPartitioning = true
-    )
+      }.toArray
+      adj.keys.headOption.foreach(i =>
+        throw new IllegalArgumentException(s"newAdj lists vertex $i, which is not in the state"))
+      out.iterator
+    }
     val (result, rounds) = SparkRSLPA.resolve(picks, T, part)
 
-    val (nRepicked, nCorrected) = state.join(result, part).values.map { case (a, b) =>
-      var r = 0L; var c = 0L
-      var t = 0
-      while (t <= T) {
-        if (a.srcs(t) != b.srcs(t) || a.poss(t) != b.poss(t)) r += 1
-        if (a.labels(t) != b.labels(t)) c += 1
-        t += 1
+    val (nRepicked, nCorrected) = state.zipPartitions(result) { (as, bs) =>
+      val before = Combine.index(as)
+      bs.map { case (i, b) =>
+        val a = before(i)
+        var r = 0L; var c = 0L
+        var t = 0
+        while (t <= T) {
+          if (a.srcs(t) != b.srcs(t) || a.poss(t) != b.poss(t)) r += 1
+          if (a.labels(t) != b.labels(t)) c += 1
+          t += 1
+        }
+        (r, c)
       }
-      (r, c)
     }.fold((0L, 0L)) { case ((r1, c1), (r2, c2)) => (r1 + r2, c1 + c2) }
     (result, SparkUpdateStats(nRepicked, nCorrected, rounds))
   }

@@ -4,6 +4,9 @@ import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 
+import scala.collection.mutable
+import scala.collection.mutable.ArrayBuilder
+
 /** Distributed rSLPA label propagation — Algorithm 1 as keyed-RDD message
   * passing.
   *
@@ -30,6 +33,20 @@ object SparkRSLPA {
     * `(st.labels(t), at(t))`; `at(t) == 0` means `st.labels(t)` is the label.
     */
   private final case class Chain(st: RVState, at: Array[Int]) extends Serializable
+
+  /** A [[resolve]] message to one vertex, with entries `(vs(k), ts(k), ps(k))`
+    * as primitive columns. To a target: requester `vs(k)` asks for the
+    * target's pointer at `ps(k)` on behalf of its position `ts(k)`. To a
+    * requester: its position `ts(k)` now points at `(vs(k), ps(k))`.
+    */
+  private final case class Hops(vs: Array[Long], ts: Array[Int], ps: Array[Int])
+
+  /** One partition's entries `(dsts(k), vs(k), ts(k), ps(k))` as one
+    * [[Hops]] message per destination.
+    */
+  private def send(dsts: Array[Long], vs: Array[Long], ts: Array[Int],
+                   ps: Array[Int]): Iterator[(Long, Hops)] =
+    Combine.byDst(dsts).map { case (d, ks) => (d, Hops(ks.map(vs), ks.map(ts), ks.map(ps))) }
 
   /** Doubling rounds that suffice for memories of length T+1: a chain from
     * position t has at most t hops, and round k leaves 2^k hops taken.
@@ -60,59 +77,92 @@ object SparkRSLPA {
 
   /** Labels from picks: the state with `labels(t)` set to the end of the
     * `(srcs, poss)` chain from `(i, t)`, and the number of doubling rounds.
-    * Each round replaces every unresolved pointer with its target's pointer.
-    * `picks` must be partitioned by `part`; its labels are ignored. The
-    * result is persisted, materialized and lineage-truncated.
+    * Each round replaces every unresolved pointer with its target's pointer;
+    * requests and answers travel as [[Combine]]d messages, served and
+    * applied by zipping them with the co-partitioned chains. `picks` must be
+    * partitioned by `part`; its labels are ignored. The result is persisted,
+    * materialized and lineage-truncated.
     */
   def resolve(picks: RDD[(Long, RVState)], T: Int,
               part: HashPartitioner): (RDD[(Long, RVState)], Int) = {
-    def materialize(c: RDD[(Long, Chain)]): Long = {
+    require(picks.partitioner.contains(part), s"resolve: picks must be partitioned by $part, not ${picks.partitioner}")
+    // One record per partition holds all of its chains, so that caching a
+    // round sizes one object graph instead of one per vertex. The chains
+    // keep `part` as their partitioner, and so does the result.
+    def materialize(c: RDD[Array[(Long, Chain)]]): Long = {
       c.persist(StorageLevel.MEMORY_AND_DISK)
-      c.map(_._2.at.count(_ > 0).toLong).fold(0L)(_ + _)
+      c.map(_.iterator.map(_._2.at.count(_ > 0).toLong).sum).fold(0L)(_ + _)
     }
     var chain = picks.mapPartitions(
-      _.map { case (i, st) =>
+      it => Iterator(it.map { case (i, st) =>
         val ptr = st.srcs.clone(); ptr(0) = i
         val at = st.poss.clone(); at(0) = 0
         (i, Chain(st.copy(labels = ptr), at))
-      },
+      }.toArray),
       preservesPartitioning = true
     )
     var open = materialize(chain)
     var rounds = 0
     while (open > 0) {
       if (rounds == maxRounds(T)) {
-        val (i, c) = chain.filter(_._2.at.exists(_ > 0)).first()
+        val (i, c) = chain.flatMap(_.iterator).filter(_._2.at.exists(_ > 0)).first()
         val t = c.at.indexWhere(_ > 0)
         throw new IllegalStateException(
           s"resolve: chain from ($i,$t) unresolved after $rounds rounds, at (${c.st.labels(t)},${c.at(t)}); picks need pos < t")
       }
-      val reqs = chain.flatMap { case (i, c) =>
-        (1 to T).iterator.filter(c.at(_) > 0).map(t => (c.st.labels(t), (c.at(t), i, t)))
-      }
-      val resps = chain.cogroup(reqs, part).flatMap { case (s, (cs, rs)) =>
-        val c = cs.headOption.getOrElse(
-          throw new IllegalArgumentException(s"resolve: vertex $s is picked as a source but is not in the state"))
-        rs.iterator.map { case (p, i, t) => (i, (t, c.st.labels(p), c.at(p))) }
-      }
-      val next = chain.cogroup(resps, part).mapPartitions(
-        _.map { case (i, (cs, rs)) =>
-          val c = cs.head
-          if (rs.isEmpty) (i, c)
-          else {
-            val ptr = c.st.labels.clone(); val at = c.at.clone()
-            rs.foreach { case (t, s, p) => ptr(t) = s; at(t) = p }
-            (i, Chain(c.st.copy(labels = ptr), at))
+      // Every open (i, t) asks its target s for position p, one message per
+      // partition and s; s's partition answers with its own pointer at p,
+      // one message per partition and requester i.
+      val reqs = chain.flatMap { cs =>
+        val s = new ArrayBuilder.ofLong; val i = new ArrayBuilder.ofLong
+        val t = new ArrayBuilder.ofInt; val p = new ArrayBuilder.ofInt
+        cs.foreach { case (v, c) =>
+          var k = 1
+          while (k <= T) {
+            if (c.at(k) > 0) { s += c.st.labels(k); i += v; t += k; p += c.at(k) }
+            k += 1
           }
-        },
-        preservesPartitioning = true
-      )
+        }
+        send(s.result(), i.result(), t.result(), p.result())
+      }.partitionBy(part)
+      val answers = chain.zipPartitions(reqs) { (cs, rs) =>
+        val byId = Combine.index(cs.flatMap(_.iterator))
+        val i = new ArrayBuilder.ofLong; val s = new ArrayBuilder.ofLong
+        val t = new ArrayBuilder.ofInt; val p = new ArrayBuilder.ofInt
+        rs.foreach { case (src, m) =>
+          val c = byId.getOrElse(src,
+            throw new IllegalArgumentException(s"resolve: vertex $src is picked as a source but is not in the state"))
+          var k = 0
+          while (k < m.ts.length) {
+            i += m.vs(k); s += c.st.labels(m.ps(k)); t += m.ts(k); p += c.at(m.ps(k))
+            k += 1
+          }
+        }
+        send(i.result(), s.result(), t.result(), p.result())
+      }.partitionBy(part)
+      val next = chain.zipPartitions(answers, preservesPartitioning = true) { (cs, as) =>
+        val got = mutable.LongMap.empty[List[Hops]]
+        as.foreach { case (i, m) => got.update(i, m :: got.getOrElse(i, Nil)) }
+        cs.map(_.map { case (i, c) =>
+          got.get(i) match {
+            case None => (i, c)
+            case Some(ms) =>
+              val ptr = c.st.labels.clone(); val at = c.at.clone()
+              ms.foreach { m =>
+                var k = 0
+                while (k < m.ts.length) { ptr(m.ts(k)) = m.vs(k); at(m.ts(k)) = m.ps(k); k += 1 }
+              }
+              (i, Chain(c.st.copy(labels = ptr), at))
+          }
+        })
+      }
       open = materialize(next)
       chain.unpersist(blocking = false)
       chain = next
       rounds += 1
     }
-    val result = chain.mapValues(_.st).persist(StorageLevel.MEMORY_AND_DISK)
+    val result = chain.mapPartitions(_.flatMap(_.iterator.map { case (i, c) => (i, c.st) }), preservesPartitioning = true)
+      .persist(StorageLevel.MEMORY_AND_DISK)
     result.localCheckpoint()
     result.count()
     chain.unpersist(blocking = false)

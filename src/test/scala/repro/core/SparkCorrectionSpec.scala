@@ -118,6 +118,28 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
     assert(lineage(2) <= lineage(0), s"lineage grew across batches: ${lineage.mkString(" -> ")} lines")
   }
 
+  for (parts <- Seq(1, 7)) {
+    test(s"spark correction matches local over two batches with numPartitions=$parts") {
+      val sc = spark.sparkContext
+      val T = 10; val seed = 39L
+      val graphs = (1 to 2).scanLeft(GraphGen.webGraphLocal(7, 300, seed = 11)._2) { (g, k) =>
+        val b = EditBatch.halfAndHalf(g, 30, seed = 11L + k)
+        g.edited(b.insertions, b.deletions)
+      }
+      val local = LocalRSLPA.propagate(graphs(0), T, seed)
+      var dist = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, graphs(0)), T, seed, numPartitions = parts)
+      for (epoch <- 1 to 2) {
+        val localStats = LocalIncremental.update(graphs(epoch - 1), graphs(epoch), local, seed, epoch)
+        val (next, stats) = SparkCorrection.update(
+          dist, GraphOps.adjacencyRDD(sc, graphs(epoch)), T, seed, epoch, numPartitions = parts)
+        dist = next
+        assert(dist.getNumPartitions == parts)
+        assert(stats.repicked == localStats.repicked && stats.repicked > 0)
+        assertMatches(local, dist.collect().toMap)
+      }
+    }
+  }
+
   test("spark correction rejects a vertex missing from newAdj") {
     val sc = spark.sparkContext
     val g0 = LocalGraph.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)))

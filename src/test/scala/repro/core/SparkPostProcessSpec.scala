@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.{HashPartitioner, SparkException}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, SparkSpec}
 import repro.graph.{GraphGen, GraphOps, LocalGraph}
@@ -20,7 +21,24 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     val local = PostProcess.edgeWeights(g, localSt.labels)
     assert(dist.size == local.size)
     local.foreach { case ((u, v), w) =>
-      assert(math.abs(dist((u.toLong, v.toLong)) - w) < 1e-12, s"weight differs at ($u,$v)")
+      assert(dist((u.toLong, v.toLong)) == w, s"weight differs at ($u,$v)")
+    }
+  }
+
+  test("spark edge weights are the same for hash-partitioned labels and unpartitioned edges") {
+    val edges = GraphOps.edgesRDD(sc, g)
+    val partitioned = labelsRDD.partitionBy(new HashPartitioner(3))
+    assert(edges.partitioner.isEmpty)
+    assert(SparkPostProcess.edgeWeights(partitioned, edges, memLen = 13).collect().toMap ==
+      SparkPostProcess.edgeWeights(labelsRDD, edges, memLen = 13).collect().toMap)
+  }
+
+  test("spark edge weights reject an edge whose endpoint has no label memory") {
+    val lbls = sc.parallelize(Seq((0L, Array(0L, 1L)), (1L, Array(1L, 1L))))
+    for (bad <- Seq((1L, 9L), (9L, 1L))) {
+      val edges = sc.parallelize(Seq((0L, 1L), bad))
+      val e = intercept[SparkException](SparkPostProcess.edgeWeights(lbls, edges, memLen = 2).collect())
+      assert(e.getMessage.contains("edgeWeights: edge endpoint 9 has no label memory"), e.getMessage)
     }
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.{HashPartitioner, SparkException}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.graph.{GraphGen, GraphOps, LocalGraph}
@@ -69,6 +69,25 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
     val part = new HashPartitioner(2)
     val e = intercept[IllegalStateException](SparkRSLPA.resolve(picks.partitionBy(part), 1, part))
     assert(e.getMessage.contains("unresolved after 1 rounds"), e.getMessage)
+  }
+
+  test("resolve fails loudly on a pick whose source is not in the state") {
+    // Vertex 0's position 2 copies position 1 of vertex 5, which has no state.
+    val picks = spark.sparkContext.parallelize(Seq(
+      0L -> SparkRSLPA.RVState(Array(1L), Array.emptyLongArray, Array(0L, 1L, 5L), Array(0, 0, 1)),
+      1L -> SparkRSLPA.RVState(Array(0L), Array.emptyLongArray, Array(1L, 0L, 0L), Array(0, 0, 0))))
+    val part = new HashPartitioner(2)
+    val e = intercept[SparkException](SparkRSLPA.resolve(picks.partitionBy(part), 2, part))
+    assert(e.getMessage.contains("resolve: vertex 5 is picked as a source but is not in the state"), e.getMessage)
+  }
+
+  for (parts <- Seq(1, 7)) {
+    test(s"spark rSLPA matches local with numPartitions=$parts") {
+      val g = GraphGen.webGraphLocal(7, 300, seed = 6)._2
+      val dist = SparkRSLPA.propagate(GraphOps.adjacencyRDD(spark.sparkContext, g), 12, 61, numPartitions = parts)
+      assert(dist.getNumPartitions == parts)
+      assertStateMatches(LocalRSLPA.propagate(g, 12, 61), dist.collect().toMap)
+    }
   }
 
   test("spark rSLPA memory lengths are T+1") {
