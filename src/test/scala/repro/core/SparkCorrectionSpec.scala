@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkException
+import org.apache.spark.storage.StorageLevel
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.dynamic.EditBatch
@@ -137,6 +138,25 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
         assert(stats.repicked == localStats.repicked && stats.repicked > 0)
         assertMatches(local, dist.collect().toMap)
       }
+    }
+  }
+
+  test("spark correction leaves the caller's state unpersisted and keeps only its result's blocks") {
+    val sc = spark.sparkContext
+    val g0 = GraphGen.webGraphLocal(6, 150, seed = 12)._2
+    val b = EditBatch.halfAndHalf(g0, 20, seed = 13)
+    val g1 = g0.edited(b.insertions, b.deletions)
+    val local = LocalRSLPA.propagate(g0, 8, 40)
+    LocalIncremental.update(g0, g1, local, 40, 1)
+    val st = SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g0), 8, 40)
+    for (level <- Seq(StorageLevel.NONE, StorageLevel.MEMORY_ONLY)) {
+      val view = st.mapValues(identity)
+      if (level != StorageLevel.NONE) view.persist(level)
+      val before = sc.getPersistentRDDs.keySet
+      val (next, _) = SparkCorrection.update(view, GraphOps.adjacencyRDD(sc, g1), 8, 40, 1)
+      assert(view.getStorageLevel == level)
+      assert(sc.getPersistentRDDs.keySet -- before == Set(next.dependencies.head.rdd.id))
+      assertMatches(local, next.collect().toMap)
     }
   }
 

@@ -71,6 +71,46 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
     assert(e.getMessage.contains("unresolved after 1 rounds"), e.getMessage)
   }
 
+  // (i, t) copies (i+1 mod n, t−1), so the chain from (i, t) has exactly t
+  // hops and ends at label (i+t) mod n: the deepest chains T allows. A chain
+  // of d hops needs ⌈log2 d⌉ doubling rounds; T = 1 needs none.
+  for (T <- Seq(1, 2, 3, 4, 5, 8, 9, 40, 64, 200)) {
+    test(s"resolve takes ceil(log2 T) rounds on chains of the worst-case depth (T=$T)") {
+      val n = 5
+      val picks = spark.sparkContext.parallelize((0 until n).map { i =>
+        val next = ((i + 1) % n).toLong
+        i.toLong -> SparkRSLPA.RVState(Array(next), Array.emptyLongArray,
+          Array.tabulate(T + 1)(t => if (t == 0) i.toLong else next), Array.tabulate(T + 1)(t => math.max(t - 1, 0)))
+      })
+      val part = new HashPartitioner(3)
+      val (dist, rounds) = SparkRSLPA.resolve(picks.partitionBy(part), T, part)
+      val labels = dist.collect().toMap
+      assert(labels.size == n)
+      labels.foreach { case (i, st) =>
+        assert(st.labels.toSeq == (0 to T).map(t => (i + t) % n), s"labels of $i")
+      }
+      assert(rounds == 32 - Integer.numberOfLeadingZeros(T - 1), s"$rounds doubling rounds for T=$T")
+    }
+  }
+
+  test("resolve keeps only its result's blocks persisted and counts the rounds the deepest chain needs") {
+    val sc = spark.sparkContext
+    val g = GraphGen.webGraphLocal(7, 300, seed = 4)._2
+    val T = 40
+    val part = new HashPartitioner(4)
+    val before = sc.getPersistentRDDs.keySet
+    val (dist, rounds) = SparkRSLPA.resolve(SparkRSLPA.picks(GraphOps.adjacencyRDD(sc, g), T, 41, part), T, part)
+    assert(sc.getPersistentRDDs.keySet -- before == Set(dist.dependencies.head.rdd.id))
+    val local = LocalRSLPA.propagate(g, T, 41)
+    assertStateMatches(local, dist.collect().toMap)
+    // Hops of the chain from (i, t); pos < t, so increasing t suffices.
+    val depth = Array.fill(g.n)(new Array[Int](T + 1))
+    for (t <- 1 to T; i <- 0 until g.n) depth(i)(t) = 1 + depth(local.srcs(i)(t))(local.poss(i)(t))
+    val deepest = depth.map(_.max).max
+    assert(deepest > 2 && rounds == 32 - Integer.numberOfLeadingZeros(deepest - 1),
+      s"$rounds rounds for chains of up to $deepest hops")
+  }
+
   test("resolve fails loudly on a pick whose source is not in the state") {
     // Vertex 0's position 2 copies position 1 of vertex 5, which has no state.
     val picks = spark.sparkContext.parallelize(Seq(
