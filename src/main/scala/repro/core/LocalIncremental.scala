@@ -1,16 +1,18 @@
 package repro.core
 
-import repro.graph.LocalGraph
+import java.util.BitSet
 
-import scala.collection.mutable
+import repro.graph.LocalGraph
 
 /** Outcome of one incremental update: counts used by the complexity
   * benches (η of §IV-D).
   *
   * @param repicked  labels whose (src, pos) was re-picked (Categories 2/3)
-  * @param corrected labels whose *value* changed (repick or downstream
-  *                  correction) — the paper's η
-  * @param rounds    correction-propagation rounds until quiescence
+  * @param corrected labels whose final value differs from the value before
+  *                  the update — the paper's η, exact
+  * @param touched   labels the sweep re-derived: the repicked slots and
+  *                  every slot whose source's label changed
+  * @param rounds    the highest position whose label changed (0 if none)
   */
 final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rounds: Int)
 
@@ -28,37 +30,18 @@ final case class UpdateStats(repicked: Long, corrected: Long, touched: Long, rou
   *    *new* neighbors (Theorem 5); if the source was deleted, re-pick
   *    uniformly among all current neighbors.
   *
-  * Phase 2 — subsequent updates (§IV-B): changed label values are pushed
-  * along the reverse receiver records R, built once from the final picks
-  * as a compressed sparse row index; a change at position t can only
-  * trigger changes at positions > t, so processing corrections in
-  * ascending position order reaches the unique fixpoint
-  * (l_i^t = l_{src}^{pos} for all t) in ≤ T steps.
+  * Phase 2 — subsequent updates (§IV-B): instead of pushing each changed
+  * label along the receiver records R, [[LocalRSLPA.sweep]] pulls: in
+  * ascending position order it re-derives every repicked slot and every
+  * slot whose source slot changed earlier in the pass. A change at
+  * position t can only trigger changes at positions > t, so each label
+  * settles once at the unique fixpoint (l_i^t = l_{src}^{pos} for all t),
+  * and R is never built.
   *
   * The state is mutated in place; `seed`/`epoch` determinize the re-picks
   * (a fresh `epoch` per batch keeps successive batches independent).
   */
 object LocalIncremental {
-
-  /** The receiver records R of §IV-B as a compressed sparse row index over
-    * packed ids `v·(T+1)+t`: the receivers `(tar, k)` that picked `(j, p)`
-    * are `recv(start(id) until start(id + 1))` for `id = j·(T+1)+p`.
-    */
-  private def receivers(st: RslpaState): (Array[Int], Array[Int]) = {
-    val w = st.T + 1
-    require(st.n.toLong * w < Int.MaxValue, s"n·(T+1) = ${st.n.toLong * w} does not fit in an Int")
-    val start = new Array[Int](st.n * w + 1)
-    for (i <- 0 until st.n; t <- 1 to st.T) start(st.srcs(i)(t) * w + st.poss(i)(t) + 1) += 1
-    for (id <- 1 to st.n * w) start(id) += start(id - 1)
-    val fill = start.clone()
-    val recv = new Array[Int](start(st.n * w))
-    for (i <- 0 until st.n; t <- 1 to st.T) {
-      val id = st.srcs(i)(t) * w + st.poss(i)(t)
-      recv(fill(id)) = i * w + t
-      fill(id) += 1
-    }
-    (start, recv)
-  }
 
   /** Apply the edit batch: update `st` in place to the distributionally
     * correct state for `newG`.
@@ -68,20 +51,7 @@ object LocalIncremental {
     require(oldG.n == newG.n && st.n == newG.n, "vertex sets must match")
     val n = st.n; val T = st.T
     var repicked = 0L
-    val touched = mutable.HashSet.empty[(Int, Int)]
-    val changed = mutable.HashSet.empty[(Int, Int)]
-    // Corrections ordered by ascending position: all upstream positions are
-    // final when an entry pops, so each label settles exactly once.
-    val queue = mutable.PriorityQueue.empty[(Int, Int)](Ordering.by { case (_, t) => -t })
-
-    def setLabel(i: Int, t: Int, l: Long): Unit = {
-      touched += ((i, t))
-      if (st.labels(i)(t) != l) {
-        st.labels(i)(t) = l
-        changed += ((i, t))
-        queue.enqueue((i, t))
-      }
-    }
+    val dirty = Array.fill(T + 1)(new BitSet(n))
 
     // Phase 1: adjacent edge changes.
     var i = 0
@@ -91,14 +61,10 @@ object LocalIncremental {
         val diff = Picks.NbrDiff(oldAdj.map(_.toLong), newAdj.map(_.toLong))
         var t = 1
         while (t <= T) {
-          Picks.repick(diff, i.toLong, t, st.srcs(i)(t).toLong, seed, epoch) match {
-            case Some((s, pos2)) =>
-              val src2 = s.toInt
-              st.srcs(i)(t) = src2; st.poss(i)(t) = pos2
-              repicked += 1
-              touched += ((i, t))
-              setLabel(i, t, st.labels(src2)(pos2))
-            case None => ()
+          Picks.repick(diff, i.toLong, t, st.srcs(i)(t).toLong, seed, epoch).foreach { case (s, pos2) =>
+            st.srcs(i)(t) = s.toInt; st.poss(i)(t) = pos2
+            repicked += 1
+            dirty(t).set(i)
           }
           t += 1
         }
@@ -106,20 +72,7 @@ object LocalIncremental {
       i += 1
     }
 
-    // Phase 2: correction propagation along R.
-    val (start, recv) = receivers(st)
-    var rounds = 0
-    while (queue.nonEmpty) {
-      val (j, p) = queue.dequeue()
-      val l = st.labels(j)(p)
-      val id = j * (T + 1) + p
-      var r = start(id)
-      while (r < start(id + 1)) {
-        setLabel(recv(r) / (T + 1), recv(r) % (T + 1), l)
-        r += 1
-      }
-      rounds = math.max(rounds, p)
-    }
-    UpdateStats(repicked, changed.size.toLong, touched.size.toLong, rounds)
+    // Phase 2: the labels downstream of the repicks.
+    LocalRSLPA.sweep(st, dirty).copy(repicked = repicked)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.BitSet
+
 import repro.graph.LocalGraph
 
 /** Reference implementation of rSLPA's randomized label propagation
@@ -14,7 +16,9 @@ import repro.graph.LocalGraph
   * O(|V|)-per-iteration communication argument.
   *
   * The `(src, pos)` picks are kept in the returned [[RslpaState]] — the
-  * bookkeeping Algorithm 2 needs.
+  * bookkeeping Algorithm 2 needs. The labels follow from the picks by
+  * [[sweep]], the local engine's one label primitive, which
+  * [[LocalIncremental]] runs after its repicks.
   */
 object LocalRSLPA {
 
@@ -27,51 +31,56 @@ object LocalRSLPA {
     if (idx < 0) (i, 0) else (adj(idx), pos)
   }
 
-  /** Run `T` iterations; returns the full propagation state. */
+  /** Run `T` iterations: draw every pick, then derive every label. */
   def propagate(g: LocalGraph, T: Int, seed: Long): RslpaState = {
     val n = g.n
     val labels = Array.tabulate(n)(i => { val a = new Array[Long](T + 1); a(0) = i.toLong; a })
     val srcs = Array.fill(n)(Array.fill(T + 1)(-1))
     val poss = Array.fill(n)(Array.fill(T + 1)(-1))
-    var t = 1
-    while (t <= T) {
-      var i = 0
-      while (i < n) {
-        val (src, pos) = pick(g.adj(i), i, t, seed)
-        labels(i)(t) = labels(src)(pos)
-        srcs(i)(t) = src
-        poss(i)(t) = pos
-        i += 1
-      }
-      t += 1
+    for (i <- 0 until n; t <- 1 to T) {
+      val (src, pos) = pick(g.adj(i), i, t, seed)
+      srcs(i)(t) = src; poss(i)(t) = pos
     }
-    new RslpaState(n, T, labels, srcs, poss)
+    val st = new RslpaState(n, T, labels, srcs, poss)
+    sweep(st, Array.fill(T + 1) { val all = new BitSet(n); all.set(0, n); all })
+    st
   }
 
-  /** Label memories only — identical picks to [[propagate]] but without the
-    * `(src, pos)` bookkeeping. Used by the quality sweeps, where no
-    * incremental updating follows and the picks would double memory at
-    * N = 50K, T = 1000.
+  /** Labels from picks, in place: one pass over t = 1..T and i = 0..n−1
+    * sets `labels(i)(t) = labels(srcs(i)(t))(poss(i)(t))` for every slot
+    * with `i` in `dirty(t)` and every slot whose source slot changed earlier
+    * in the pass. A source's position is below t, so it is final when read
+    * and each label settles once, with no receiver records. Returns the
+    * stats with `repicked` 0.
     */
-  def propagateLabelsOnly(g: LocalGraph, T: Int, seed: Long): Array[Array[Long]] = {
-    val n = g.n
-    val labels = Array.tabulate(n)(i => { val a = new Array[Long](T + 1); a(0) = i.toLong; a })
+  private[core] def sweep(st: RslpaState, dirty: Array[BitSet]): UpdateStats = {
+    val changed = Array.fill(st.T + 1)(new BitSet(st.n))
+    var corrected = 0L; var touched = 0L; var rounds = 0
     var t = 1
-    while (t <= T) {
+    while (t <= st.T) {
       var i = 0
-      while (i < n) {
-        val (src, pos) = pick(g.adj(i), i, t, seed)
-        labels(i)(t) = labels(src)(pos)
+      while (i < st.n) {
+        val s = st.srcs(i)(t); val p = st.poss(i)(t)
+        if (dirty(t).get(i) || changed(p).get(s)) {
+          touched += 1
+          val l = st.labels(s)(p)
+          if (st.labels(i)(t) != l) {
+            st.labels(i)(t) = l
+            changed(t).set(i)
+            corrected += 1
+            rounds = t
+          }
+        }
         i += 1
       }
       t += 1
     }
-    labels
+    UpdateStats(0L, corrected, touched, rounds)
   }
 
   /** Full pipeline: propagate then extract communities via the paper's
     * similarity post-processing (§III-B).
     */
   def detect(g: LocalGraph, T: Int, seed: Long): Vector[Set[Int]] =
-    PostProcess.extract(g, propagateLabelsOnly(g, T, seed))
+    PostProcess.extract(g, propagate(g, T, seed).labels)
 }

@@ -9,9 +9,10 @@ package repro.core
   *    self-picks: `srcs(i)(t) = i`, `poss(i)(t) = 0`.
   *
   * This is exactly the information Algorithm 2 (correction propagation)
-  * needs to incrementally maintain the sequences under edge edits; its
-  * reverse records R are a function of `(srcs, poss)` and are derived on
-  * demand ([[LocalIncremental]]).
+  * needs to incrementally maintain the sequences under edge edits. Its
+  * reverse records R are a function of `(srcs, poss)` and are never built:
+  * [[LocalRSLPA.sweep]] re-derives the labels downstream of a repick by
+  * reading each slot's source instead.
   */
 final class RslpaState(
     val n: Int,

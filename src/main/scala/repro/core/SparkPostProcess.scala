@@ -46,13 +46,18 @@ object SparkPostProcess {
   }
 
   private object Hists {
-    /** Sorted distinct labels and counts of every memory, rows sorted by id. */
-    def apply(mems: Iterator[(Long, Array[Long])]): Hists = {
+    /** Sorted distinct labels and counts of every memory, rows sorted by id.
+      * A memory whose length is not `memLen` is rejected, naming its vertex.
+      */
+    def apply(mems: Iterator[(Long, Array[Long])], memLen: Int): Hists = {
       val rows = mems.toArray.sortBy(_._1)
       val off = new Array[Int](rows.length + 1)
       val labels = new ArrayBuilder.ofLong; val counts = new ArrayBuilder.ofInt
       rows.indices.foreach { r =>
-        val sorted = rows(r)._2.clone()
+        val (v, mem) = rows(r)
+        require(mem.length == memLen,
+          s"edgeWeights: vertex $v has a label memory of length ${mem.length}, not memLen = $memLen")
+        val sorted = mem.clone()
         java.util.Arrays.sort(sorted)
         var i = 0
         while (i < sorted.length) {
@@ -92,7 +97,8 @@ object SparkPostProcess {
 
   /** w_uv = P(uniform draw from L_u = uniform draw from L_v) for every
     * edge `(u, v)` of `edges`. `memLen` is the memory length (T + 1). An
-    * edge endpoint without a label memory is rejected, naming it.
+    * edge endpoint without a label memory, and a memory of another length,
+    * are rejected, naming the vertex.
     */
   def edgeWeights(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
                   memLen: Int): RDD[((Long, Long), Double)] =
@@ -109,7 +115,7 @@ object SparkPostProcess {
   private def edgeWeights(labels: RDD[(Long, Array[Long])], edges: RDD[(Long, Long)],
                           memLen: Int, part: Partitioner): RDD[Weights] = {
     val toPart = SparkRSLPA.ToPartition(part.numPartitions)
-    val hists = labels.partitionBy(part).mapPartitions(it => Iterator(Hists(it)), preservesPartitioning = true)
+    val hists = labels.partitionBy(part).mapPartitions(it => Iterator(Hists(it, memLen)), preservesPartitioning = true)
     val byU = edges.mapPartitions { it =>
       val us = Array.fill(part.numPartitions)(new ArrayBuilder.ofLong)
       val vs = Array.fill(part.numPartitions)(new ArrayBuilder.ofLong)

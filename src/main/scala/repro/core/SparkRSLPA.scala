@@ -51,12 +51,20 @@ object SparkRSLPA {
 
   private[core] object Block {
     /** One partition's records as a [[Block]]; their labels are kept only
-      * if every record has a memory of length T+1.
+      * if every record has a memory. A record whose picks are not T+1 long,
+      * or whose labels are neither empty nor T+1 long, is rejected, naming
+      * its vertex.
       */
     def apply(records: Iterator[(Long, RVState)], T: Int): Block = {
       val rows = records.toArray.sortBy(_._1)
       val w = T + 1
       require(rows.length.toLong * w <= Int.MaxValue, s"${rows.length} vertices × ${w} slots overflow one block")
+      rows.foreach { case (i, st) =>
+        require(st.srcs.length == w && st.poss.length == w,
+          s"vertex $i has ${st.srcs.length} srcs and ${st.poss.length} poss, not T+1 = $w")
+        require(st.labels.isEmpty || st.labels.length == w,
+          s"vertex $i has a label memory of length ${st.labels.length}, not T+1 = $w")
+      }
       val nbrOff = rows.scanLeft(0)(_ + _._2.nbrs.length)
       val nbrs = new Array[Long](nbrOff.last)
       val srcs = new Array[Long](rows.length * w); val poss = new Array[Int](rows.length * w)

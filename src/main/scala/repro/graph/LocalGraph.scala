@@ -28,7 +28,9 @@ final class LocalGraph private (val n: Int, val adj: Array[Array[Int]]) {
     u != v && java.util.Arrays.binarySearch(adj(u), v) >= 0
 
   /** New graph with `deletions` removed and `insertions` added.
-    * Edits referencing non-existent state are ignored (idempotent).
+    * Deleting an absent edge (out-of-range endpoints included) and
+    * inserting a present edge or a self-loop change nothing (idempotent);
+    * an inserted edge with an endpoint outside `[0, n)` is rejected.
     */
   def edited(insertions: Seq[(Int, Int)], deletions: Seq[(Int, Int)]): LocalGraph = {
     val del = deletions.iterator

@@ -132,7 +132,7 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
       for (epoch <- 1 to 2) {
         val localStats = LocalIncremental.update(graphs(epoch - 1), graphs(epoch), local, seed, epoch)
         val (next, stats) = SparkCorrection.update(
-          dist, GraphOps.adjacencyRDD(sc, graphs(epoch)), T, seed, epoch, numPartitions = parts)
+          dist, GraphOps.adjacencyRDD(sc, graphs(epoch)), T, seed, epoch)
         dist = next
         assert(dist.getNumPartitions == parts)
         assert(stats.repicked == localStats.repicked && stats.repicked > 0)
@@ -176,5 +176,34 @@ class SparkCorrectionSpec extends AnyFunSuite with SparkSpec {
     val newAdj = GraphOps.adjacencyRDD(sc, g0).union(sc.parallelize(Seq(7L -> Array.emptyLongArray)))
     val e = intercept[SparkException](SparkCorrection.update(st, newAdj, 5, 38, 1))
     assert(e.getMessage.contains("newAdj lists vertex 7, which is not in the state"), e.getMessage)
+  }
+
+  /** A T = 8 state on a small graph, and the adjacency after one edit. */
+  private def smallState(seed: Long) = {
+    val sc = spark.sparkContext
+    val g0 = LocalGraph.fromEdges(5, Seq((0, 1), (1, 2), (2, 3), (3, 4), (0, 2)))
+    val g1 = g0.edited(Seq((1, 4)), Seq((2, 3)))
+    (SparkRSLPA.propagate(GraphOps.adjacencyRDD(sc, g0), 8, seed), GraphOps.adjacencyRDD(sc, g1))
+  }
+
+  for (T <- Seq(5, 12)) {
+    test(s"spark correction rejects a T = 8 state updated with T = $T, naming the vertex") {
+      val (st, newAdj) = smallState(41)
+      val e = intercept[SparkException](SparkCorrection.update(st, newAdj, T, 41, 1))
+      assert(e.getMessage.matches(s"(?s).*vertex \\d+ has 9 srcs and 9 poss, not T\\+1 = ${T + 1}.*"), e.getMessage)
+    }
+  }
+
+  test("spark correction rejects a label memory that is not T+1 long") {
+    val (st, newAdj) = smallState(42)
+    val cut = st.mapValues(s => s.copy(labels = s.labels.take(4)))
+    val e = intercept[SparkException](SparkCorrection.update(cut, newAdj, 8, 42, 1))
+    assert(e.getMessage.matches("(?s).*vertex \\d+ has a label memory of length 4, not T\\+1 = 9.*"), e.getMessage)
+  }
+
+  test("spark correction rejects a state that is not hash-partitioned") {
+    val (st, newAdj) = smallState(43)
+    val e = intercept[IllegalArgumentException](SparkCorrection.update(st.map(identity), newAdj, 8, 43, 1))
+    assert(e.getMessage.contains("update: the state has partitioner none; it must be hash-partitioned"), e.getMessage)
   }
 }

@@ -42,6 +42,16 @@ class SparkPostProcessSpec extends AnyFunSuite with SparkSpec {
     }
   }
 
+  test("spark edge weights and extract reject a memLen that is not the memory length") {
+    for (memLen <- Seq(12, 14)) {
+      val e1 = intercept[SparkException](SparkPostProcess.edgeWeights(labelsRDD, GraphOps.edgesRDD(sc, g), memLen).collect())
+      val e2 = intercept[SparkException](SparkPostProcess.extract(labelsRDD, GraphOps.edgesRDD(sc, g), memLen))
+      for (e <- Seq(e1, e2))
+        assert(e.getMessage.matches(s"(?s).*edgeWeights: vertex \\d+ has a label memory of length 13, not memLen = $memLen.*"),
+          e.getMessage)
+    }
+  }
+
   test("DataFrame edge weights agree with DuckDB (Oracle)") {
     import spark.implicits._
     val labelRows = for {

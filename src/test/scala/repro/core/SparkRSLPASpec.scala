@@ -61,6 +61,14 @@ class SparkRSLPASpec extends AnyFunSuite with SparkSpec {
     assertStateMatches(LocalRSLPA.propagate(g, 6, 5), dist)
   }
 
+  test("resolve rejects picks that are not T+1 long, naming the vertex") {
+    val sc = spark.sparkContext
+    val part = new HashPartitioner(2)
+    val picks = SparkRSLPA.picks(GraphOps.adjacencyRDD(sc, LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))), 8, 7, part)
+    val e = intercept[SparkException](SparkRSLPA.resolve(picks, 5, part))
+    assert(e.getMessage.matches("(?s).*vertex \\d has 9 srcs and 9 poss, not T\\+1 = 6.*"), e.getMessage)
+  }
+
   test("resolve fails loudly on a pick chain that never reaches position 0") {
     // Vertices 0 and 1 copy each other's position 1: a cycle, not a chain.
     val picks = spark.sparkContext.parallelize(Seq(
